@@ -46,7 +46,7 @@ struct DurConfig {
   // (the default; the kill-and-restart guarantee), N amortizes the sync.
   std::size_t fsync_every = 1;
   // Re-run the restored allocations' last mappings after recovery so the
-  // tree/plan caches are warm before the first client request.
+  // tree cache is warm before the first client request.
   bool prewarm = true;
 };
 

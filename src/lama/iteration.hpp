@@ -45,8 +45,8 @@ class IterationPolicy {
                                                      std::size_t width) const;
 
   // True when every level still iterates sequentially — the paper's default.
-  // The plan cache keys compiled plans by (allocation, layout) only, so it
-  // serves them solely to default-policy requests; this is the guard.
+  // The service's cache keys compiled plans by (allocation, layout) only, so
+  // it serves them solely to default-policy requests; this is the guard.
   [[nodiscard]] bool is_default() const {
     for (const LevelIteration& level : levels_) {
       if (level.order != IterationOrder::kSequential) return false;

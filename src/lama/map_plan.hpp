@@ -26,8 +26,8 @@
 // the full 9! sweep pin this down).
 //
 // Lifetime: a MapPlan borrows the PU bitmaps of the MaximalTree it was
-// compiled from and must not outlive it. The service's PlanCache
-// (svc/plan_cache.hpp) ties the two together with shared ownership.
+// compiled from and must not outlive it. The service's cache entry
+// (svc/tree_cache.hpp) holds both, so they live and die together.
 #pragma once
 
 #include <cstddef>
@@ -46,22 +46,6 @@
 namespace lama {
 
 class MaximalTree;
-
-// One contiguous range of a plan's slot array plus the skip mass at its
-// edges, so a partition of the iteration space into slices replays with the
-// exact visited/skipped accounting of the sequential walk. Produced by
-// MapPlan::slice_outer(); the parallel driver slices per chunk, the
-// sequential driver uses one slice covering everything.
-struct PlanSlice {
-  std::size_t begin = 0;  // first slot index
-  std::size_t end = 0;    // one past the last slot index
-  // Nonexistent/unavailable coordinates between the slice's first flat
-  // position and its first slot (replaces that slot's skips_before).
-  std::uint64_t first_gap = 0;
-  // Ditto between the last slot and the end of the slice's flat range; the
-  // whole range when the slice contains no slot.
-  std::uint64_t trailing = 0;
-};
 
 struct MapPlan {
   // One viable coordinate of the iteration space, in walk order.
@@ -108,13 +92,10 @@ struct MapPlan {
   // --- the compiled walk --------------------------------------------------
   std::vector<Slot> slots;               // every viable coordinate, in order
   std::vector<std::uint64_t> avail;      // bitset over flat positions
-  // Slot count before each outermost visit position (size outer_extent()+1),
-  // so any contiguous range of outer positions maps to a slot range.
-  std::vector<std::size_t> outer_slot_offset;
+  // Nonexistent/unavailable coordinates after the last slot (the whole
+  // space when there is no slot): the skip mass that closes every sweep.
+  std::uint64_t trailing_skips = 0;
 
-  [[nodiscard]] std::size_t outer_extent() const {
-    return extents.empty() ? 0 : static_cast<std::size_t>(extents.back());
-  }
   [[nodiscard]] bool avail_bit(std::uint64_t p) const {
     return (avail[p >> 6] >> (p & 63)) & 1u;
   }
@@ -130,10 +111,6 @@ struct MapPlan {
       out[l] = visit[l][(pos / vstride[l]) % extents[l]];
     }
   }
-
-  // The slice covering outermost visit positions [begin, end).
-  [[nodiscard]] PlanSlice slice_outer(std::size_t begin,
-                                      std::size_t end) const;
 };
 
 // Size of the iteration space a plan for this triple would enumerate —
@@ -165,13 +142,12 @@ class PlanExecutor {
   // comparison); called automatically by run().
   void bind(const MapPlan& plan);
 
-  // Executes the plan over `slices` — a partition of the full iteration
-  // space in walk order — writing the mapping into `out` (buffers reused).
-  // Throws exactly like lama_map: MappingError when a sweep places nothing,
-  // OversubscribeError per policy, CancelledError past the deadline.
+  // Executes the plan over its whole iteration space, writing the mapping
+  // into `out` (buffers reused). Throws exactly like lama_map: MappingError
+  // when a sweep places nothing, OversubscribeError per policy,
+  // CancelledError past the deadline.
   void run(const Allocation& alloc, const MapOptions& opts,
-           const MapPlan& plan, std::span<const PlanSlice> slices,
-           MappingResult& out);
+           const MapPlan& plan, MappingResult& out);
 
  private:
   struct Pending {

@@ -47,9 +47,6 @@ struct Counters {
   std::atomic<std::uint64_t> batched{0};     // MAPBATCH requests accepted
   std::atomic<std::uint64_t> batch_jobs{0};  // jobs carried by those batches
 
-  // Parallel-mapper accounting (lama_map_parallel, threads >= 2).
-  std::atomic<std::uint64_t> parallel_maps{0};
-
   // Optimizer accounting (svc/opt_cache.hpp, docs/optimize.md). Every
   // OPTIMIZE request increments opt_requests and exactly one of
   // opt_hits / opt_misses; opt_candidates and opt_swaps accumulate the
@@ -60,19 +57,20 @@ struct Counters {
   std::atomic<std::uint64_t> opt_candidates{0};  // seed placements priced
   std::atomic<std::uint64_t> opt_swaps{0};       // refinement swaps applied
 
-  // Plan-cache accounting (svc/plan_cache.hpp). A request that runs the
-  // compiled kernel increments exactly one of plan_hits / plan_misses;
-  // requests the cache refuses (disabled, space limit, custom iteration
-  // policy) increment neither and fall back to the reference walk.
-  std::atomic<std::uint64_t> plan_hits{0};    // compiled plan from the LRU
-  std::atomic<std::uint64_t> plan_misses{0};  // this request compiled it
+  // Plan accounting (svc/tree_cache.hpp). Every cache-entry build compiles
+  // its default-policy plan and counts one plan_miss, unless the entry
+  // carries no plan (caching disabled, space limit) — a refusal counts
+  // nothing. A request that runs the compiled kernel on a plan it did not
+  // compile (a hit or a coalesced wait) counts one plan_hit; custom
+  // iteration policies run the reference walk and count no hit.
+  std::atomic<std::uint64_t> plan_hits{0};    // compiled walk, plan reused
+  std::atomic<std::uint64_t> plan_misses{0};  // plans compiled by builds
 
   // Per-stage latencies.
   LatencyHistogram lookup_ns;  // cache probe, excluding build/wait
   LatencyHistogram build_ns;   // maximal-tree construction on a miss
   LatencyHistogram map_ns;     // the mapping walk itself
-  LatencyHistogram parallel_map_ns;  // mapping walks run by lama_map_parallel
-  LatencyHistogram plan_compile_ns;  // compiling a MapPlan on a plan miss
+  LatencyHistogram plan_compile_ns;  // compiling a MapPlan in an entry build
   LatencyHistogram compiled_map_ns;  // walks executed from a compiled plan
   LatencyHistogram opt_ns;     // placement searches run by OPTIMIZE misses
   LatencyHistogram total_ns;   // end-to-end per request

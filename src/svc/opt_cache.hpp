@@ -1,5 +1,5 @@
 // The optimization-result cache: OptimizeResults (opt/optimizer.hpp) cached
-// beside the tree and plan caches, keyed by (allocation fingerprint,
+// beside the tree cache, keyed by (allocation fingerprint,
 // communication-matrix digest, budget) — the full input of an OPTIMIZE
 // request. A placement search costs many mapping walks plus O(n^3)
 // refinement, so repeat requests for the same traffic on the same
@@ -48,7 +48,7 @@ struct OptKeyHash {
 class OptCache {
  public:
   // `capacity_per_shard` of 0 disables caching (every lookup misses, every
-  // insert is dropped) — the same convention as the tree and plan caches.
+  // insert is dropped) — the same convention as the tree cache.
   // `arena`/`numa` (optional) NUMA-place the shard control blocks exactly
   // like ShardedTreeCache; null degrades to plain operator new.
   OptCache(std::size_t num_shards, std::size_t capacity_per_shard,
@@ -64,8 +64,8 @@ class OptCache {
            std::shared_ptr<const opt::OptimizeResult> result);
 
   // Drops every result computed over this fingerprint — invoked by the same
-  // epoch-bump hook that invalidates the tree and plan caches. Returns the
-  // number removed.
+  // epoch-bump hook that invalidates the tree cache. Returns the number
+  // removed.
   std::size_t invalidate_alloc(std::uint64_t alloc_fp);
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }

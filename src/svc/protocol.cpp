@@ -412,8 +412,9 @@ MapRequest ProtocolSession::Impl::parse_map_command(
       request.timeout_ms = static_cast<std::uint32_t>(
           parse_size_bounded(value, "MAP timeout", kMaxTimeoutMs));
     } else if (key == "threads") {
-      request.map_threads =
-          parse_size_bounded(value, "MAP threads", kMaxMapThreads);
+      // Accepted for compatibility and ignored: the compiled walk is
+      // sequential. Still bounds-checked, so a bad value answers ERR.
+      parse_size_bounded(value, "MAP threads", kMaxMapThreads);
     } else {
       throw ParseError("unknown MAP option '" + key + "'");
     }
@@ -806,7 +807,7 @@ ProtocolSession::RecoveryInfo ProtocolSession::restore_from(
   }
 
   // Cache pre-warm: re-run each restored allocation's last mapping so the
-  // tree/plan caches are hot before the first client request. Replayed MAP
+  // tree cache is hot before the first client request. Replayed MAP
   // lines already warmed their entries; this covers baselines restored from
   // #LAST alone.
   if (store.config().prewarm) {

@@ -38,8 +38,8 @@
 //   QUIT            -> OK bye (serving stops; EOF works too)
 //
 // MAP options: oversub=0|1, pus=<per-proc PUs>, npernode=<cap>,
-// bind=<target>, timeout=<ms>, threads=<mapping workers> (0 = sequential
-// walk; N runs lama_map_parallel — same bytes out either way). MAPBATCH
+// bind=<target>, timeout=<ms>, threads=<n> (accepted for compatibility,
+// bounds-checked, ignored). MAPBATCH
 // jobs take the same options, '/'-separated since a job must stay one
 // token. Blank lines and '#' comments are ignored.
 // All numeric fields are parsed with overflow rejection and protocol bounds

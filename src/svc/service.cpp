@@ -7,7 +7,6 @@
 
 #include "cluster/alloc_serialize.hpp"
 #include "dur/state_store.hpp"
-#include "lama/parallel_mapper.hpp"
 #include "obs/clock.hpp"
 #include "support/error.hpp"
 
@@ -40,12 +39,9 @@ void throw_if_past(std::uint64_t deadline_ns, const char* stage) {
 
 MappingService::MappingService(ServiceConfig config)
     : config_(config),
-      cache_(config.cache_shards, config.shard_capacity, counters_,
-             config.shard_arena, config.numa_topology),
-      plan_cache_(config.cache_shards,
-                  config.compile_plans ? config.shard_capacity : 0,
-                  config.plan_space_limit, counters_, config.shard_arena,
-                  config.numa_topology),
+      cache_(config.cache_shards, config.shard_capacity,
+             config.plan_space_limit, counters_, config.shard_arena,
+             config.numa_topology),
       opt_cache_(config.cache_shards, config.shard_capacity,
                  config.shard_arena, config.numa_topology),
       pool_(config.workers, config.max_queue),
@@ -91,10 +87,8 @@ void MappingService::run_fault_hook() {
 }
 
 std::size_t MappingService::invalidate(std::uint64_t fingerprint) {
-  // Plans embed (and co-own) trees built over the stale epoch; they must
-  // leave with them, or a plan hit would keep mapping onto retired hardware.
-  plan_cache_.invalidate_alloc(fingerprint);
-  // Optimization results place onto the stale epoch's PUs; same rule.
+  // Optimization results place onto the stale epoch's PUs; they leave with
+  // the stale epoch's cache entries.
   opt_cache_.invalidate_alloc(fingerprint);
   return cache_.invalidate_alloc(fingerprint);
 }
@@ -198,53 +192,32 @@ MapResponse MappingService::map(const MapRequest& request) {
 MappingResult MappingService::run_lama_walk(const Allocation& alloc,
                                             const ProcessLayout& layout,
                                             const MapOptions& opts,
-                                            const MaximalTree* tree,
-                                            std::size_t threads) {
-  const obs::SpanScope map_span(obs::Stage::kMap,
-                                static_cast<std::uint32_t>(threads));
+                                            const MaximalTree* tree) {
+  const obs::SpanScope map_span(obs::Stage::kMap);
   const auto start = std::chrono::steady_clock::now();
-  MappingResult mapping;
-  if (threads > 0) {
-    counters_.parallel_maps.fetch_add(1, std::memory_order_relaxed);
-    mapping = tree != nullptr
-                  ? lama_map_parallel(alloc, layout, opts, *tree, threads)
-                  : lama_map_parallel(alloc, layout, opts, threads);
-    counters_.parallel_map_ns.record_ns(elapsed_ns(start));
-  } else {
-    mapping = tree != nullptr ? lama_map(alloc, layout, opts, *tree)
-                              : lama_map(alloc, layout, opts);
-  }
-  // map_ns covers every lama walk, sequential or parallel;
-  // parallel_map_ns above isolates the parallel ones.
+  MappingResult mapping = tree != nullptr ? lama_map(alloc, layout, opts, *tree)
+                                          : lama_map(alloc, layout, opts);
   counters_.map_ns.record_ns(elapsed_ns(start));
   return mapping;
 }
 
 MappingResult MappingService::run_compiled_walk(const Allocation& alloc,
                                                 const MapOptions& opts,
-                                                const MapPlan& plan,
-                                                std::size_t threads) {
-  const obs::SpanScope map_span(obs::Stage::kMap,
-                                static_cast<std::uint32_t>(threads));
+                                                const MapPlan& plan) {
+  const obs::SpanScope map_span(obs::Stage::kMap);
   const auto start = std::chrono::steady_clock::now();
   MappingResult mapping;
   {
     const obs::SpanScope exec_span(obs::Stage::kPlanExec);
-    if (threads > 0) {
-      counters_.parallel_maps.fetch_add(1, std::memory_order_relaxed);
-      mapping = lama_map_parallel(alloc, opts, plan, threads);
-      counters_.parallel_map_ns.record_ns(elapsed_ns(start));
-    } else {
-      // One executor per worker thread: its dense arenas stay sized for the
-      // plans that thread replays, so steady-state walks allocate nothing
-      // inside the executor.
-      thread_local PlanExecutor executor;
-      lama_map_compiled(alloc, opts, plan, executor, mapping);
-    }
+    // One executor per worker thread: its dense arenas stay sized for the
+    // plans that thread replays, so steady-state walks allocate nothing
+    // inside the executor.
+    thread_local PlanExecutor executor;
+    lama_map_compiled(alloc, opts, plan, executor, mapping);
   }
   const std::uint64_t took = elapsed_ns(start);
   counters_.compiled_map_ns.record_ns(took);
-  // map_ns covers every lama walk — reference, parallel, or compiled.
+  // map_ns covers every lama walk, reference or compiled.
   counters_.map_ns.record_ns(took);
   return mapping;
 }
@@ -291,44 +264,33 @@ MapResponse MappingService::map_uncaught(const MapRequest& request,
     response.cache_hit = lookup.hit;
     response.coalesced = lookup.coalesced;
 
-    if (config_.verify_trees && lookup.hit && !cached->verify(key)) {
-      // Integrity re-validation failed: never map from a tree whose seal
-      // does not match its key. Drop it and degrade to the uncached path —
-      // a fresh tree built from the client's own allocation.
+    if (config_.verify_trees && lookup.hit && !cached->verify()) {
+      // Integrity re-validation failed: never map from an entry whose seal
+      // does not match its key — neither its tree nor its plan. Drop it and
+      // degrade to the uncached path: a fresh tree built from the client's
+      // own allocation.
       counters_.integrity_failures.fetch_add(1, std::memory_order_relaxed);
       counters_.degraded.fetch_add(1, std::memory_order_relaxed);
       cache_.erase(key);
-      // Any compiled plan shares the rejected tree (or an equally stale
-      // sibling under this key) — drop it with the tree, never execute it.
-      plan_cache_.erase(key);
       cached.reset();
       response.cache_hit = false;
       response.degraded = true;
-      response.mapping = run_lama_walk(client_alloc, layout, opts, nullptr,
-                                       request.map_threads);
+      response.mapping = run_lama_walk(client_alloc, layout, opts, nullptr);
     } else {
       mapped_alloc = &cached->alloc();
       throw_if_past(opts.deadline_ns, "the mapping walk");
-      // Compiled fast path: serve default-policy requests from a cached
-      // MapPlan. The plan embeds (and co-owns) the tree it was compiled
-      // from; mapping and binding must run against that tree's allocation —
-      // a deep copy content-identical to `cached`'s under the same key.
-      std::shared_ptr<const CachedPlan> plan;
-      if (config_.compile_plans && config_.shard_capacity > 0 &&
-          opts.iteration.is_default()) {
-        plan = plan_cache_
-                   .get_or_compile(key, cached, config_.verify_trees)
-                   .plan;
-      }
-      if (plan != nullptr) {
-        mapped_alloc = &plan->tree()->alloc();
-        response.mapping = run_compiled_walk(plan->tree()->alloc(), opts,
-                                             plan->plan(),
-                                             request.map_threads);
+      // Compiled fast path: the entry's plan serves default-policy requests.
+      // Custom iteration policies and entries whose plan the space limit
+      // refused keep the reference walk over the same cached tree.
+      const MapPlan* plan = cached->plan();
+      if (plan != nullptr && opts.iteration.is_default()) {
+        if (lookup.hit || lookup.coalesced) {
+          counters_.plan_hits.fetch_add(1, std::memory_order_relaxed);
+        }
+        response.mapping = run_compiled_walk(cached->alloc(), opts, *plan);
       } else {
-        response.mapping =
-            run_lama_walk(cached->alloc(), cached->layout(), opts,
-                          &cached->tree(), request.map_threads);
+        response.mapping = run_lama_walk(cached->alloc(), cached->layout(),
+                                         opts, &cached->tree());
       }
     }
   } else {
@@ -643,14 +605,11 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
                   load(c.batched));
   snap.add_scalar("lama_batch_jobs_total", "Jobs carried by batches", "counter",
                   load(c.batch_jobs));
-  snap.add_scalar("lama_parallel_maps_total",
-                  "Mapping walks run by the parallel mapper", "counter",
-                  load(c.parallel_maps));
   snap.add_scalar("lama_plan_cache_hits_total",
-                  "Compiled plans served from the LRU", "counter",
-                  load(c.plan_hits));
+                  "Compiled walks on a plan this request did not compile",
+                  "counter", load(c.plan_hits));
   snap.add_scalar("lama_plan_cache_misses_total",
-                  "Compiled plans built by the request", "counter",
+                  "Plans compiled by cache-entry builds", "counter",
                   load(c.plan_misses));
   snap.add_scalar("lama_opt_requests_total", "OPTIMIZE requests accepted",
                   "counter", load(c.opt_requests));
@@ -672,8 +631,8 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
                   "gauge", uptime_s());
   snap.add_scalar("lama_cache_trees", "Trees currently cached", "gauge",
                   static_cast<double>(cache_.size()));
-  snap.add_scalar("lama_cache_plans", "Compiled plans currently cached",
-                  "gauge", static_cast<double>(plan_cache_.size()));
+  snap.add_scalar("lama_cache_plans", "Cached trees carrying a compiled plan",
+                  "gauge", static_cast<double>(cache_.plans()));
   snap.add_scalar("lama_cache_opts", "Optimization results currently cached",
                   "gauge", static_cast<double>(opt_cache_.size()));
   snap.add_scalar("lama_inflight_requests", "Requests currently in flight",
@@ -686,8 +645,6 @@ obs::MetricsSnapshot MappingService::metrics_snapshot() const {
   add_summary(snap, "lama_build_ns", "Maximal-tree build latency (ns)",
               c.build_ns);
   add_summary(snap, "lama_map_ns", "Mapping walk latency (ns)", c.map_ns);
-  add_summary(snap, "lama_parallel_map_ns",
-              "Parallel mapping walk latency (ns)", c.parallel_map_ns);
   add_summary(snap, "lama_plan_compile_ns", "Plan compilation latency (ns)",
               c.plan_compile_ns);
   add_summary(snap, "lama_compiled_map_ns",
@@ -906,7 +863,7 @@ std::string MappingService::stats_line() const {
       "traces_started=%llu traces_assembled=%llu trace_dumps=%llu "
       "traces_tail=%llu",
       uptime_s(), static_cast<unsigned long long>(cache_.size()),
-      static_cast<unsigned long long>(plan_cache_.size()),
+      static_cast<unsigned long long>(cache_.plans()),
       static_cast<unsigned long long>(opt_cache_.size()),
       static_cast<unsigned long long>(tracer_ ? tracer_->started() : 0),
       static_cast<unsigned long long>(tracer_ ? tracer_->assembled() : 0),
@@ -992,7 +949,7 @@ std::string MappingService::render_stats() const {
                 "%llu, cached opts %llu, inflight %llu\n",
                 uptime_s(),
                 static_cast<unsigned long long>(cache_.size()),
-                static_cast<unsigned long long>(plan_cache_.size()),
+                static_cast<unsigned long long>(cache_.plans()),
                 static_cast<unsigned long long>(opt_cache_.size()),
                 static_cast<unsigned long long>(
                     inflight_.load(std::memory_order_relaxed)));

@@ -4,8 +4,9 @@
 // mapping requests — an rmaps component spec such as "lama:scbnh", MapOptions,
 // and optionally a binding policy — one at a time or in batches executed on
 // a worker pool. "lama" requests go through the sharded tree cache
-// (tree_cache.hpp): the maximal/pruned tree for (allocation, layout) is
-// built once and every repeated query skips straight to the iteration walk.
+// (tree_cache.hpp): the maximal/pruned tree and its compiled plan for
+// (allocation, layout) are built once and every repeated query skips
+// straight to the compiled walk.
 // Every stage is measured into svc::Counters.
 //
 // Resilience (docs/resilience.md): allocations are versioned by epochs that
@@ -38,7 +39,6 @@
 #include "support/numa.hpp"
 #include "svc/counters.hpp"
 #include "svc/opt_cache.hpp"
-#include "svc/plan_cache.hpp"
 #include "svc/slo.hpp"
 #include "svc/tree_cache.hpp"
 #include "svc/worker_pool.hpp"
@@ -69,21 +69,16 @@ struct ServiceConfig {
   // Deadline applied to requests that carry none (0 = no default deadline).
   std::uint32_t default_timeout_ms = 0;
   // Re-validate the integrity seal of every cache hit; failures drop the
-  // entry and degrade to a fresh uncached build. One 64-bit hash of the
-  // layout string per hit — leave on unless profiling says otherwise.
+  // entry and degrade to a fresh uncached build. One 64-bit compare per
+  // hit — leave on unless profiling says otherwise.
   bool verify_trees = true;
-  // Compile cached trees into flat MapPlans (lama/map_plan.hpp) and serve
-  // default-policy "lama" requests from the zero-allocation compiled kernel.
-  // The plan cache shares the tree cache's sharding/capacity and keys, and
-  // is invalidated with it. Off = every request runs the reference walk.
-  bool compile_plans = true;
-  // Largest iteration space (coordinates) a plan may enumerate; requests
-  // over the limit fall back to the reference walk instead of materializing
-  // a plan. 0 = unbounded.
+  // Largest iteration space (coordinates) a cache entry's plan may
+  // enumerate; entries over the limit carry no plan and their requests keep
+  // the reference walk instead of materializing one. 0 = unbounded.
   std::uint64_t plan_space_limit = 1u << 20;
 
   // NUMA placement of the cache shards (support/numa.hpp). When both are
-  // set (and must then outlive the service), the tree/plan/opt caches place
+  // set (and must then outlive the service), the tree and opt caches place
   // their shard control blocks round-robin across the machine's NUMA nodes
   // so each event-loop shard's hot mutex + LRU live on local memory. Null =
   // plain operator new, identical behaviour on single-node hosts.
@@ -135,11 +130,6 @@ struct MapRequest {
   // queue wait). 0 falls back to ServiceConfig::default_timeout_ms; if
   // opts.deadline_ns is already set it wins.
   std::uint32_t timeout_ms = 0;
-  // Worker threads for the mapping walk itself (lama_map_parallel): 0 runs
-  // the sequential mapper, N >= 1 records the walk on N workers and
-  // assembles deterministically — the result is byte-identical either way.
-  // Honored on the "lama" spec only; baseline components ignore it.
-  std::size_t map_threads = 0;
 };
 
 // A remap request: re-place `previous` (produced over an earlier epoch of
@@ -156,7 +146,7 @@ struct RemapRequest {
 // An OPTIMIZE request (docs/optimize.md): search the placement space for
 // `matrix.np()` processes on the interned allocation, minimizing modeled
 // communication cost. Results are cached under (allocation fingerprint,
-// matrix digest, budget) beside the tree and plan caches.
+// matrix digest, budget) beside the tree cache.
 struct OptimizeRequest {
   InternedAlloc alloc;
   std::shared_ptr<const CommMatrix> matrix;
@@ -235,19 +225,19 @@ class MappingService {
   // queue refuses come back as busy responses without executing.
   std::vector<MapResponse> map_batch(const std::vector<MapRequest>& requests);
 
-  // Drops every cached tree AND compiled plan built over this fingerprint —
-  // called when an allocation's epoch is bumped by an availability change,
-  // so the capacity the stale entries occupy is reclaimed immediately rather
-  // than aging out. Returns the number of trees dropped (plans leave with
-  // them but are not separately counted).
+  // Drops every cache entry (tree and plan) and optimization result built
+  // over this fingerprint — called when an allocation's epoch is bumped by
+  // an availability change, so the capacity the stale entries occupy is
+  // reclaimed immediately rather than aging out. Returns the number of
+  // tree-cache entries dropped.
   std::size_t invalidate(std::uint64_t fingerprint);
 
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
   // Trees currently cached (for tests/observability).
   [[nodiscard]] std::size_t cached_trees() const { return cache_.size(); }
-  // Compiled plans currently cached (for tests/observability).
-  [[nodiscard]] std::size_t cached_plans() const { return plan_cache_.size(); }
+  // Cached trees that carry a compiled plan (for tests/observability).
+  [[nodiscard]] std::size_t cached_plans() const { return cache_.plans(); }
   // Optimization results currently cached (for tests/observability).
   [[nodiscard]] std::size_t cached_opts() const { return opt_cache_.size(); }
 
@@ -325,19 +315,16 @@ class MappingService {
  private:
   MapResponse map_uncaught(const MapRequest& request,
                            std::uint64_t deadline_ns);
-  // The timed mapping walk of the lama path: sequential or parallel per
-  // `threads` (see MapRequest::map_threads), against a cached tree when
+  // The timed reference walk of the lama path, against a cached tree when
   // `tree` is non-null.
   MappingResult run_lama_walk(const Allocation& alloc,
                               const ProcessLayout& layout,
-                              const MapOptions& opts, const MaximalTree* tree,
-                              std::size_t threads);
-  // The timed compiled-kernel walk: replays `plan` through a reused
-  // PlanExecutor (sequential) or the sliced parallel driver (threads >= 1).
-  // `alloc` must be the allocation of the tree the plan was compiled from.
+                              const MapOptions& opts, const MaximalTree* tree);
+  // The timed compiled-kernel walk: replays `plan` through this thread's
+  // reused PlanExecutor. `alloc` must be the allocation of the tree the
+  // plan was compiled from.
   MappingResult run_compiled_walk(const Allocation& alloc,
-                                  const MapOptions& opts, const MapPlan& plan,
-                                  std::size_t threads);
+                                  const MapOptions& opts, const MapPlan& plan);
   MapResponse run_counted(const char* verb, std::uint32_t timeout_ms,
                           const std::function<MapResponse(std::uint64_t)>& fn);
   MapResponse shed_response();
@@ -347,7 +334,6 @@ class MappingService {
   RmapsRegistry registry_;
   Counters counters_;
   ShardedTreeCache cache_;
-  PlanCache plan_cache_;
   OptCache opt_cache_;
   WorkerPool pool_;
   SloTracker slo_;

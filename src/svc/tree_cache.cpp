@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "cluster/alloc_serialize.hpp"
+#include "lama/iteration.hpp"
 #include "obs/tracer.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -18,6 +19,11 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+// The seal an entry built for `key` must carry.
+std::uint64_t seal_for(const TreeKey& key) {
+  return hash_combine(key.alloc_fp, fnv1a64("tree-seal:" + key.layout));
+}
+
 }  // namespace
 
 std::size_t TreeKeyHash::operator()(const TreeKey& key) const {
@@ -25,20 +31,14 @@ std::size_t TreeKeyHash::operator()(const TreeKey& key) const {
       hash_combine(key.alloc_fp, fnv1a64(key.layout)));
 }
 
-CachedTree::CachedTree(const Allocation& alloc, ProcessLayout layout)
+CachedTree::CachedTree(const Allocation& alloc, ProcessLayout layout,
+                       const TreeKey& key)
     : alloc_((alloc.validate(), alloc)),  // never cache an unusable tree
       layout_(std::move(layout)),
       tree_(alloc_, layout_),
+      expected_seal_(seal_for(key)),
       seal_(seal_for(
           TreeKey{allocation_fingerprint(alloc_), layout_.to_string()})) {}
-
-std::uint64_t CachedTree::seal_for(const TreeKey& key) {
-  return hash_combine(key.alloc_fp, fnv1a64("tree-seal:" + key.layout));
-}
-
-bool CachedTree::verify(const TreeKey& key) const {
-  return seal_.load(std::memory_order_relaxed) == seal_for(key);
-}
 
 void CachedTree::corrupt_for_testing() const {
   seal_.fetch_xor(0xDEADBEEFCAFEF00DULL, std::memory_order_relaxed);
@@ -46,10 +46,13 @@ void CachedTree::corrupt_for_testing() const {
 
 ShardedTreeCache::ShardedTreeCache(std::size_t num_shards,
                                    std::size_t capacity_per_shard,
+                                   std::uint64_t plan_space_limit,
                                    Counters& counters,
                                    support::NumaAllocator* arena,
                                    const support::NumaTopology* numa)
-    : counters_(counters) {
+    : compile_plans_(capacity_per_shard > 0),
+      plan_space_limit_(plan_space_limit),
+      counters_(counters) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
   support::NumaAllocator& a =
@@ -62,6 +65,28 @@ ShardedTreeCache::ShardedTreeCache(std::size_t num_shards,
 
 ShardedTreeCache::Shard& ShardedTreeCache::shard_for(const TreeKey& key) {
   return *shards_[TreeKeyHash{}(key) % shards_.size()];
+}
+
+ShardedTreeCache::TreePtr ShardedTreeCache::build(
+    const TreeKey& key, const Allocation& alloc, const ProcessLayout& layout) {
+  const auto build_start = std::chrono::steady_clock::now();
+  auto entry = std::make_shared<CachedTree>(alloc, layout, key);
+  counters_.build_ns.record_ns(elapsed_ns(build_start));
+  // Refusal is not a miss: a plan that will never be compiled should not
+  // depress the hit ratio — requests on this entry keep the reference walk.
+  if (!compile_plans_ ||
+      (plan_space_limit_ != 0 &&
+       map_plan_space(entry->tree_, entry->layout_, IterationPolicy{}) >
+           plan_space_limit_)) {
+    return entry;
+  }
+  counters_.plan_misses.fetch_add(1, std::memory_order_relaxed);
+  const obs::SpanScope compile_span(obs::Stage::kPlanCompile);
+  const auto compile_start = std::chrono::steady_clock::now();
+  entry->plan_.emplace(
+      compile_map_plan(entry->tree_, entry->layout_, IterationPolicy{}));
+  counters_.plan_compile_ns.record_ns(elapsed_ns(compile_start));
+  return entry;
 }
 
 ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
@@ -95,9 +120,8 @@ ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
   counters_.lookup_ns.record_ns(elapsed_ns(lookup_start));
 
   TreePtr built;
-  const auto build_start = std::chrono::steady_clock::now();
   try {
-    built = std::make_shared<const CachedTree>(alloc, layout);
+    built = build(key, alloc, layout);
   } catch (...) {
     lock.lock();
     shard.inflight.erase(key);
@@ -105,7 +129,6 @@ ShardedTreeCache::Lookup ShardedTreeCache::get_or_build(
     promise.set_exception(std::current_exception());
     throw;
   }
-  counters_.build_ns.record_ns(elapsed_ns(build_start));
 
   lock.lock();
   const std::size_t evicted_before = shard.lru.evictions();
@@ -160,6 +183,17 @@ std::size_t ShardedTreeCache::size() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     total += shard->lru.size();
+  }
+  return total;
+}
+
+std::size_t ShardedTreeCache::plans() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->lru.for_each([&](const TreeKey&, const TreePtr& entry) {
+      if (entry->plan() != nullptr) ++total;
+    });
   }
   return total;
 }

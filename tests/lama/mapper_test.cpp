@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/fixtures.hpp"
+#include "lama/map_plan.hpp"
 #include "lama/maximal_tree.hpp"
 #include "support/error.hpp"
 #include "topo/presets.hpp"
@@ -53,6 +57,28 @@ TEST(Mapper, Figure2ExactReproduction) {
   EXPECT_FALSE(m.slot_oversubscribed);
   EXPECT_EQ(m.procs_per_node[0], 16u);
   EXPECT_EQ(m.procs_per_node[1], 8u);
+}
+
+// The same Figure 2 mapping pinned to a committed table, for the reference
+// walk and the compiled kernel alike: a simultaneous change to both cannot
+// slip through their differential checks.
+TEST(Mapper, Figure2MatchesCommittedGoldenTable) {
+  const std::string path =
+      std::string(LAMA_TEST_GOLDEN_DIR) + "/fig2_scbnh_np24.txt";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing golden file " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+
+  const Allocation alloc = figure2_allocation();
+  const ProcessLayout layout = ProcessLayout::parse("scbnh");
+  const MapOptions opts{.np = 24};
+  EXPECT_EQ(test::format_mapping_table(lama_map(alloc, layout, opts)),
+            golden.str());
+  const MaximalTree mtree(alloc, layout);
+  const MapPlan plan = compile_map_plan(mtree, layout, IterationPolicy{});
+  EXPECT_EQ(test::format_mapping_table(lama_map_compiled(alloc, opts, plan)),
+            golden.str());
 }
 
 TEST(Mapper, PackLayoutFillsDepthFirst) {

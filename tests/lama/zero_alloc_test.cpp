@@ -1,7 +1,7 @@
 // The zero-allocation guarantee, enforced: this binary replaces global
 // operator new/delete with counting forwarders, and the tests assert that a
-// warmed-up PlanExecutor replays compiled plans — and the service-side plan
-// cache serves hits — without a single heap allocation on the calling
+// warmed-up PlanExecutor replays compiled plans — and the service-side cache
+// serves verified hits — without a single heap allocation on the calling
 // thread. The counters are thread_local and armed only inside the guarded
 // region, so gtest bookkeeping and other threads never pollute the count.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "lama/map_plan.hpp"
 #include "lama/mapper.hpp"
 #include "lama/maximal_tree.hpp"
-#include "svc/plan_cache.hpp"
 #include "svc/tree_cache.hpp"
 
 namespace {
@@ -101,22 +100,22 @@ TEST(ZeroAlloc, PlanCacheHitVerificationAllocatesNothing) {
   const ProcessLayout layout = ProcessLayout::parse("scbnh");
   svc::Counters counters;
   const svc::TreeKey key{allocation_fingerprint(alloc), layout.to_string()};
-  auto tree = std::make_shared<const svc::CachedTree>(alloc, layout);
-  svc::PlanCache cache(1, 8, 0, counters);
-  // Miss compiles and caches; everything after is the hit path.
-  ASSERT_FALSE(cache.get_or_compile(key, tree, true).hit);
+  svc::ShardedTreeCache cache(1, 8, /*plan_space_limit=*/0, counters);
+  // Miss builds and compiles; everything after is the hit path.
+  ASSERT_FALSE(cache.get_or_build(key, alloc, layout).hit);
 
   AllocGuard guard;
   for (int i = 0; i < 10; ++i) {
-    const svc::PlanCache::Lookup lookup =
-        cache.get_or_compile(key, tree, /*verify=*/true);
-    if (!lookup.hit || lookup.plan == nullptr) {
+    const svc::ShardedTreeCache::Lookup lookup =
+        cache.get_or_build(key, alloc, layout);
+    if (!lookup.hit || !lookup.tree->verify() ||
+        lookup.tree->plan() == nullptr) {
       guard.finish();
       FAIL() << "expected a verified plan hit";
     }
   }
   EXPECT_EQ(guard.finish(), 0u);
-  EXPECT_EQ(counters.plan_hits.load(), 10u);
+  EXPECT_EQ(counters.cache_hits.load(), 10u);
   EXPECT_EQ(counters.plan_misses.load(), 1u);
 }
 

@@ -1,6 +1,7 @@
 // MAPBATCH: one line, N jobs, N "JOB <i>" responses plus a trailer —
-// per-job error isolation, coalesced tree builds, the threads= option, and
-// the batch-aware retrying client (only the shed subset is re-sent).
+// per-job error isolation, coalesced tree builds, the ignored threads=
+// option, and the batch-aware retrying client (only the shed subset is
+// re-sent).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,6 +11,7 @@
 #include "common/fixtures.hpp"
 #include "lama/mapper.hpp"
 #include "svc/client.hpp"
+#include "svc/net_harness.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
 #include "topo/serialize.hpp"
@@ -19,16 +21,23 @@ namespace {
 
 using lama::test::figure2_allocation;
 
-// One session over an inline service; NODE lines for figure2_allocation()
-// are pre-loaded under "a0".
+// The NODE lines defining figure2_allocation() under "a0".
+std::vector<std::string> node_lines() {
+  const Allocation alloc = figure2_allocation();
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < alloc.num_nodes(); ++i) {
+    lines.push_back("NODE a0 " + std::to_string(alloc.node(i).slots) + " " +
+                    serialize_topology(alloc.node(i).topo));
+  }
+  return lines;
+}
+
+// One session over an inline service with "a0" pre-loaded.
 struct Session {
   explicit Session(ServiceConfig config = {.workers = 0})
       : service(config), session(service) {
-    const Allocation alloc = figure2_allocation();
-    for (std::size_t i = 0; i < alloc.num_nodes(); ++i) {
-      const std::string response = run(
-          "NODE a0 " + std::to_string(alloc.node(i).slots) + " " +
-          serialize_topology(alloc.node(i).topo));
+    for (const std::string& line : node_lines()) {
+      const std::string response = run(line);
       EXPECT_EQ(response.substr(0, 2), "OK") << response;
     }
   }
@@ -118,45 +127,54 @@ TEST(MapBatch, CountersAccountBatchesJobsAndErrors) {
   EXPECT_EQ(c.errors.load(), 0u);
 }
 
+// The response payload to `map` over the binary wire, from a fresh server
+// that first receives "a0"'s NODE lines as frames.
+std::string binary_map(const std::string& map) {
+  testing::TestServer server;
+  testing::BlockingClient client(server.port());
+  std::string sent;
+  for (const std::string& line : node_lines()) {
+    sent += testing::frame_for(line);
+  }
+  EXPECT_TRUE(client.send_all(sent + testing::frame_for(map)));
+  WireVerb verb = WireVerb::kOk;
+  std::string payload;
+  for (std::size_t i = 0; i <= node_lines().size(); ++i) {
+    EXPECT_TRUE(client.read_frame(verb, payload)) << i;
+  }
+  return payload;
+}
+
 TEST(MapBatch, ThreadsOptionMapsIdenticallyToSequential) {
+  // threads= is accepted for compatibility and ignored: the same bytes come
+  // back with or without it (cold cache on both sides), over either wire.
   Session sequential;
-  Session parallel;
+  Session threaded;
   const std::string seq = sequential.run("MAP a0 24 lama:scbnh");
-  const std::string par = parallel.run("MAP a0 24 lama:scbnh threads=4");
-  EXPECT_EQ(seq, par);  // byte-identical response line, cold cache both
-  EXPECT_EQ(parallel.service.counters().parallel_maps.load(), 1u);
-  EXPECT_EQ(sequential.service.counters().parallel_maps.load(), 0u);
   EXPECT_EQ(seq.substr(0, 3), "OK ");
+  EXPECT_EQ(threaded.run("MAP a0 24 lama:scbnh threads=4"), seq);
+  EXPECT_EQ(binary_map("MAP a0 24 lama:scbnh"), seq + "\n");
+  EXPECT_EQ(binary_map("MAP a0 24 lama:scbnh threads=4"), seq + "\n");
+  // It is still bounds-checked.
+  EXPECT_EQ(binary_map("MAP a0 24 lama:scbnh threads=65").substr(0, 4),
+            "ERR ");
+
+  // A MAPBATCH job carrying threads= answers like one without it.
+  Session batch;
+  Session threaded_batch;
+  const std::vector<std::string> want =
+      batch.run_lines("MAPBATCH 2 a0/24/lama:scbnh a0/8/lama:scbnh");
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_EQ(want[2], "OK mapbatch jobs=2 ok=2 err=0");
+  EXPECT_EQ(threaded_batch.run_lines(
+                "MAPBATCH 2 a0/24/lama:scbnh/threads=4 a0/8/lama:scbnh"),
+            want);
 }
 
 TEST(MapBatch, ThreadsOptionIsBoundsChecked) {
   Session s;
   EXPECT_EQ(s.run("MAP a0 8 lama:scbnh threads=65").substr(0, 4), "ERR ");
   EXPECT_EQ(s.run("MAP a0 8 lama:scbnh threads=64").substr(0, 3), "OK ");
-}
-
-TEST(MapBatch, ServiceMapBatchHonorsMapThreads) {
-  MappingService service({.workers = 0});
-  const InternedAlloc interned = service.intern(figure2_allocation());
-  MapRequest sequential{interned, "lama:scbnh", {.np = 24}};
-  MapRequest parallel = sequential;
-  parallel.map_threads = 4;
-  const std::vector<MapResponse> responses =
-      service.map_batch({sequential, parallel});
-  ASSERT_EQ(responses.size(), 2u);
-  ASSERT_TRUE(responses[0].ok()) << responses[0].error;
-  ASSERT_TRUE(responses[1].ok()) << responses[1].error;
-  ASSERT_EQ(responses[0].mapping.num_procs(),
-            responses[1].mapping.num_procs());
-  for (std::size_t i = 0; i < responses[0].mapping.num_procs(); ++i) {
-    EXPECT_EQ(responses[0].mapping.placements[i].target_pus,
-              responses[1].mapping.placements[i].target_pus);
-    EXPECT_EQ(responses[0].mapping.placements[i].node,
-              responses[1].mapping.placements[i].node);
-  }
-  EXPECT_EQ(service.counters().parallel_maps.load(), 1u);
-  EXPECT_EQ(service.counters().batched.load(), 1u);
-  EXPECT_EQ(service.counters().batch_jobs.load(), 2u);
 }
 
 TEST(MapBatchClient, FormatsJobsWithSlashSeparators) {

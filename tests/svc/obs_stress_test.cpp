@@ -1,5 +1,5 @@
 // Concurrency stress for the observability layer: mixed good/bad traffic,
-// MAPBATCH rounds on the worker pool, parallel-walk requests, and a chaos
+// MAPBATCH rounds on the worker pool, reference-walk requests, and a chaos
 // thread corrupting cached trees — all with tracing ON and sampling 1/1 so
 // every request assembles a trace, while an observer thread concurrently
 // reads metrics snapshots and flight-recorder traces (collectors racing the
@@ -79,7 +79,10 @@ TEST(ObsStress, ExactlyOnceTracingUnderMixedFaultTraffic) {
         const std::uint64_t pick = rng.next_below(100);
         MapRequest request{interned, "lama", {.np = 1 + rng.next_below(16)}};
         request.spec = "lama:" + layouts[rng.next_below(layouts.size())];
-        if (pick >= 80) request.map_threads = 2;  // traced parallel walk
+        if (pick >= 80) {  // custom policy: the traced reference walk
+          request.opts.iteration.set(ResourceType::kCore,
+                                     {.order = IterationOrder::kReverse});
+        }
         bool expect_ok = true;
         if (pick < 10) {
           request.spec = "nosuch";  // uncached-path failure
