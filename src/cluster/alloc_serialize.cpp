@@ -1,5 +1,7 @@
 #include "cluster/alloc_serialize.hpp"
 
+#include <vector>
+
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
@@ -41,11 +43,20 @@ Allocation parse_allocation(const std::string& text) {
 }
 
 std::uint64_t allocation_fingerprint(const Allocation& alloc) {
+  std::vector<std::uint64_t> node_hashes(alloc.num_nodes());
+  for (std::size_t i = 0; i < alloc.num_nodes(); ++i) {
+    node_hashes[i] = topology_content_hash(alloc.node(i).topo);
+  }
+  return allocation_fingerprint(alloc, node_hashes);
+}
+
+std::uint64_t allocation_fingerprint(
+    const Allocation& alloc, std::span<const std::uint64_t> node_hashes) {
+  LAMA_ASSERT(node_hashes.size() == alloc.num_nodes());
   std::uint64_t h = mix64(alloc.num_nodes() + 1);
   for (std::size_t i = 0; i < alloc.num_nodes(); ++i) {
-    const AllocatedNode& n = alloc.node(i);
-    h = hash_combine(h, topology_fingerprint(n.topo));
-    h = hash_combine(h, n.slots);
+    h = hash_combine(h, mix64(node_hashes[i]));
+    h = hash_combine(h, alloc.node(i).slots);
   }
   return h;
 }

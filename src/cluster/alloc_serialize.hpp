@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "cluster/cluster.hpp"
@@ -29,5 +30,11 @@ Allocation parse_allocation(const std::string& text);
 // slots, node order, node count — changes the fingerprint; node names and
 // cluster indices (which only label output) do not.
 std::uint64_t allocation_fingerprint(const Allocation& alloc);
+
+// The same fingerprint from per-node content hashes kept by the caller:
+// node_hashes[i] must be topology_content_hash(alloc.node(i).topo), so no
+// topology is serialized here.
+std::uint64_t allocation_fingerprint(const Allocation& alloc,
+                                     std::span<const std::uint64_t> node_hashes);
 
 }  // namespace lama

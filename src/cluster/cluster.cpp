@@ -74,6 +74,13 @@ std::size_t Allocation::total_online_pus() const {
   return total;
 }
 
+bool Allocation::has_online_pu() const {
+  for (const AllocatedNode& n : nodes_) {
+    if (n.topo.has_online_pu()) return true;
+  }
+  return false;
+}
+
 std::size_t Allocation::total_slots() const {
   std::size_t total = 0;
   for (const AllocatedNode& n : nodes_) total += n.slots;
@@ -84,7 +91,7 @@ void Allocation::validate() const {
   if (nodes_.empty()) {
     throw MappingError("allocation contains no nodes");
   }
-  if (total_online_pus() == 0) {
+  if (!has_online_pu()) {
     throw MappingError("allocation contains no online processing units");
   }
 }

@@ -69,6 +69,8 @@ class Allocation {
 
   // Sum of online PUs across allocated nodes.
   [[nodiscard]] std::size_t total_online_pus() const;
+  // total_online_pus() > 0, stopping at the first node with a usable PU.
+  [[nodiscard]] bool has_online_pu() const;
   // Sum of slots.
   [[nodiscard]] std::size_t total_slots() const;
 

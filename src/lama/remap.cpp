@@ -9,11 +9,12 @@ namespace lama {
 namespace {
 
 // True when the rank's placement is still fully usable on the reduced
-// allocation: its node exists and every one of its target PUs is online.
-bool placement_survives(const Placement& p, const Allocation& reduced) {
-  if (p.node >= reduced.num_nodes()) return false;
+// allocation, whose per-node online sets are `online`: its node exists and
+// every one of its target PUs is online.
+bool placement_survives(const Placement& p, const std::vector<Bitmap>& online) {
+  if (p.node >= online.size()) return false;
   if (p.target_pus.empty()) return false;
-  return p.target_pus.is_subset_of(reduced.node(p.node).topo.online_pus());
+  return p.target_pus.is_subset_of(online[p.node]);
 }
 
 // True when some PU on some node is targeted by more than one placement.
@@ -42,11 +43,18 @@ RemapResult lama_remap(const Allocation& reduced, const ProcessLayout& layout,
   }
   reduced.validate();
 
+  // Each node's online set, walked once: survival checks and the survivor
+  // restriction below both read it.
+  std::vector<Bitmap> online(reduced.num_nodes());
+  for (std::size_t i = 0; i < online.size(); ++i) {
+    online[i] = reduced.node(i).topo.online_pus();
+  }
+
   RemapResult result;
   result.mapping.layout = layout.to_string();
   result.mapping.placements = previous.placements;
   for (std::size_t r = 0; r < previous.placements.size(); ++r) {
-    if (!placement_survives(previous.placements[r], reduced)) {
+    if (!placement_survives(previous.placements[r], online)) {
       result.displaced.push_back(static_cast<int>(r));
     }
   }
@@ -62,20 +70,17 @@ RemapResult lama_remap(const Allocation& reduced, const ProcessLayout& layout,
   // Off-line the survivors' PUs on top of the reduced allocation, so the
   // recursive mapper's availability skipping steps past failures and
   // survivors alike and only ever lands displaced ranks on free resources.
+  std::vector<Bitmap> allowed = online;
+  for (const Placement& p : previous.placements) {
+    if (placement_survives(p, online)) allowed[p.node].and_not(p.target_pus);
+  }
   Allocation restricted = reduced;
   for (std::size_t i = 0; i < restricted.num_nodes(); ++i) {
-    Bitmap allowed = restricted.node(i).topo.online_pus();
-    for (std::size_t r = 0; r < previous.placements.size(); ++r) {
-      const Placement& p = previous.placements[r];
-      if (p.node == i && placement_survives(p, reduced)) {
-        allowed.and_not(p.target_pus);
-      }
-    }
-    restricted.mutable_node(i).topo.restrict_pus(allowed);
+    restricted.mutable_node(i).topo.restrict_pus(allowed[i]);
   }
 
   const Allocation* submap_alloc = &restricted;
-  if (restricted.total_online_pus() == 0) {
+  if (!restricted.has_online_pu()) {
     // Survivors hold every remaining PU. Either share (wrap around the
     // reduced allocation) or refuse, per the oversubscription policy.
     if (!opts.allow_oversubscribe) {

@@ -15,6 +15,7 @@
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
+#include "topo/fingerprint.hpp"
 #include "topo/serialize.hpp"
 
 namespace lama::svc {
@@ -53,10 +54,29 @@ struct ProtocolSession::Impl {
     ProcessLayout layout{std::vector<ResourceType>{ResourceType::kNode}};
     MapOptions opts;
     MappingResult mapping;
+    // The baseline's digest terms: fnv1a64 of the layout string and of each
+    // placement's target_pus string. Refreshed wherever the baseline
+    // changes, so digest() prints no cpuset.
+    std::uint64_t layout_hash = 0;
+    std::vector<std::uint64_t> pus_hashes;
+
+    void rehash() {
+      layout_hash = fnv1a64(layout.to_string());
+      pus_hashes.resize(mapping.placements.size());
+      for (std::size_t r = 0; r < pus_hashes.size(); ++r) rehash_rank(r);
+    }
+    void rehash_rank(std::size_t r) {
+      pus_hashes[r] = fnv1a64(mapping.placements[r].target_pus.to_string());
+    }
   };
 
   struct AllocEntry {
     Allocation current;        // availability edits apply here
+    // topology_content_hash of each node of `current`, refreshed by the NODE
+    // that adds it and the OFFLINE/ONLINE that edits it. The state digest
+    // and the interned fingerprint fold these, so a mutation re-serializes
+    // only the node it changed.
+    std::vector<std::uint64_t> node_hashes;
     std::uint64_t epoch = 0;   // bumped by NODE/OFFLINE/ONLINE
     InternedAlloc interned;    // lazy snapshot of `current` at `epoch`
     bool dirty = true;
@@ -91,7 +111,7 @@ struct ProtocolSession::Impl {
   // trees from the old epoch can never serve it).
   const InternedAlloc& interned(AllocEntry& e) {
     if (e.dirty) {
-      e.interned = service.intern(e.current, e.epoch);
+      e.interned = service.intern(e.current, e.epoch, e.node_hashes);
       e.dirty = false;
     }
     return e.interned;
@@ -137,33 +157,35 @@ struct ProtocolSession::Impl {
 // preserves and replay rebuilds, nothing more — so a state restored from
 // snapshot+journal hashes identically to one replayed from genesis. The
 // serialized topology carries the availability ('!') flags, so OFFLINE and
-// ONLINE move the digest.
+// ONLINE move the digest. The serialized terms (each node's topology, the
+// baseline's layout and cpusets) are folded from the hashes cached when they
+// last changed, so sealing a record serializes nothing.
 std::uint64_t ProtocolSession::Impl::digest() const {
   std::uint64_t h = fnv1a64("lama-dur-v1");
   for (const auto& [id, e] : allocs) {
     h = hash_combine(h, fnv1a64(id));
     h = hash_combine(h, e.epoch);
     for (std::size_t i = 0; i < e.current.num_nodes(); ++i) {
-      const AllocatedNode& node = e.current.node(i);
-      h = hash_combine(h, node.slots);
-      h = hash_combine(h, fnv1a64(serialize_topology(node.topo)));
+      h = hash_combine(h, e.current.node(i).slots);
+      h = hash_combine(h, e.node_hashes[i]);
     }
     if (!e.last.has_value()) {
       h = hash_combine(h, 0);
       continue;
     }
     h = hash_combine(h, 1);
-    h = hash_combine(h, fnv1a64(e.last->layout.to_string()));
+    h = hash_combine(h, e.last->layout_hash);
     h = hash_combine(h, e.last->opts.np);
     h = hash_combine(h, e.last->opts.allow_oversubscribe ? 1 : 0);
     h = hash_combine(h, e.last->opts.pus_per_proc);
     h = hash_combine(h, e.last->opts.resource_caps[static_cast<std::size_t>(
                             canonical_depth(ResourceType::kNode))]);
     h = hash_combine(h, e.last->mapping.sweeps);
-    for (const Placement& p : e.last->mapping.placements) {
+    for (std::size_t r = 0; r < e.last->mapping.placements.size(); ++r) {
+      const Placement& p = e.last->mapping.placements[r];
       h = hash_combine(h, static_cast<std::uint64_t>(p.rank));
       h = hash_combine(h, p.node);
-      h = hash_combine(h, fnv1a64(p.target_pus.to_string()));
+      h = hash_combine(h, e.last->pus_hashes[r]);
     }
   }
   return h;
@@ -280,6 +302,7 @@ void ProtocolSession::Impl::restore_last(
     }
     ++last.mapping.procs_per_node[p.node];
   }
+  last.rehash();
   e.last = std::move(last);
 }
 
@@ -471,6 +494,7 @@ std::string ProtocolSession::Impl::handle_node(
   }
   AllocatedNode node = std::move(parsed.mutable_node(0));
   node.cluster_index = e.current.num_nodes();
+  e.node_hashes.push_back(topology_content_hash(node.topo));
   e.current.add(std::move(node));
   bump_epoch(e);
   persist(trimmed);
@@ -503,6 +527,7 @@ std::string ProtocolSession::Impl::handle_availability(
       topo.set_object_disabled(topo.leaf_type(), pu, offline);
     }
   }
+  e.node_hashes[node] = topology_content_hash(topo);
   bump_epoch(e);
   persist(join(tokens, " "));
   std::string out = std::string("OK ") + (offline ? "offline" : "online") +
@@ -554,7 +579,12 @@ std::string ProtocolSession::Impl::handle_remap(
   // The remapped placement becomes the baseline for the next REMAP. The
   // journal records the verb alone (no timeout= — a runtime knob, not
   // state): replaying it re-runs the same deterministic re-placement.
+  // Survivors keep their placements, so only the displaced ranks' cpusets
+  // are re-hashed.
   e.last->mapping = response.mapping;
+  for (const int r : response.displaced) {
+    e.last->rehash_rank(static_cast<std::size_t>(r));
+  }
   persist("REMAP " + tokens[1]);
 
   std::vector<std::size_t> nodes, pus;
@@ -731,6 +761,7 @@ void ProtocolSession::Impl::record_last_map(const std::string& id,
   last.layout = ProcessLayout::parse(args.empty() ? kLamaDefaultLayout : args);
   last.opts = request.opts;
   last.mapping = response.mapping;
+  last.rehash();
   AllocEntry& e = allocs[id];
   e.last = std::move(last);
   if (store == nullptr) return;
@@ -755,6 +786,10 @@ ProtocolSession::ProtocolSession(MappingService& service)
 ProtocolSession::~ProtocolSession() = default;
 
 std::uint64_t ProtocolSession::state_digest() const { return impl_->digest(); }
+
+const InternedAlloc& ProtocolSession::interned(const std::string& id) {
+  return impl_->interned(impl_->entry(id));
+}
 
 std::vector<std::string> ProtocolSession::snapshot_lines() const {
   return impl_->dump_lines();

@@ -133,6 +133,12 @@ class ProtocolSession {
   // recomputes this and compares.
   [[nodiscard]] std::uint64_t state_digest() const;
 
+  // The handle MAP, REMAP and OPTIMIZE on `id` map onto: the allocation at
+  // its current epoch and its fingerprint, interned on first use after a
+  // change. Throws ParseError for an unknown id, MappingError when the
+  // allocation has no online PU.
+  const InternedAlloc& interned(const std::string& id);
+
   // The session state as restorable lines (what write_snapshot stores):
   // NODE lines whose serialized topologies carry the availability flags,
   // then #EPOCH and #LAST directives pinning what NODE replay cannot.

@@ -65,6 +65,14 @@ InternedAlloc MappingService::intern(const Allocation& alloc,
   return InternedAlloc{copy, allocation_fingerprint(*copy), epoch};
 }
 
+InternedAlloc MappingService::intern(
+    const Allocation& alloc, std::uint64_t epoch,
+    std::span<const std::uint64_t> node_hashes) {
+  alloc.validate();
+  return InternedAlloc{std::make_shared<const Allocation>(alloc),
+                       allocation_fingerprint(alloc, node_hashes), epoch};
+}
+
 InternedAlloc MappingService::intern_serialized(const std::string& text,
                                                 std::uint64_t epoch) {
   return intern(parse_allocation(text), epoch);

@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,11 @@ class MappingService {
   // MappingError when the allocation cannot run anything
   // (Allocation::validate).
   InternedAlloc intern(const Allocation& alloc, std::uint64_t epoch = 0);
+  // The same, fingerprinted from per-node content hashes the caller keeps
+  // (allocation_fingerprint's node-hash form) instead of re-serializing
+  // every node.
+  InternedAlloc intern(const Allocation& alloc, std::uint64_t epoch,
+                       std::span<const std::uint64_t> node_hashes);
   // Interns from the wire form (cluster/alloc_serialize.hpp).
   InternedAlloc intern_serialized(const std::string& text,
                                   std::uint64_t epoch = 0);

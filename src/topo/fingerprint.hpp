@@ -13,6 +13,13 @@
 
 namespace lama {
 
+// FNV-1a over the canonical serialized form, before the finalizer: the
+// per-node term that both the allocation fingerprint and the durable state
+// digest fold, so a caller can keep it per node and re-hash only the nodes
+// it edits.
+std::uint64_t topology_content_hash(const NodeTopology& topo);
+
+// mix64(topology_content_hash(topo)).
 std::uint64_t topology_fingerprint(const NodeTopology& topo);
 
 }  // namespace lama

@@ -19,6 +19,16 @@ std::unique_ptr<TopoObject> clone_subtree(const TopoObject& src) {
   return copy;
 }
 
+// online_pus()'s walk, stopping at the first usable leaf.
+bool any_online_leaf(const TopoObject& obj) {
+  if (obj.disabled()) return false;
+  if (obj.is_leaf()) return !obj.cpuset().empty();
+  for (std::size_t i = 0; i < obj.num_children(); ++i) {
+    if (any_online_leaf(obj.child(i))) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 NodeTopology& NodeTopology::operator=(const NodeTopology& other) {
@@ -172,6 +182,8 @@ Bitmap NodeTopology::online_pus() const {
   walk(*root_);
   return online;
 }
+
+bool NodeTopology::has_online_pu() const { return any_online_leaf(*root_); }
 
 const TopoObject& NodeTopology::pu(std::size_t index) const {
   LAMA_ASSERT(index < leaves_.size());

@@ -60,6 +60,9 @@ class NodeTopology {
 
   // PUs that are currently usable: neither they nor any ancestor disabled.
   [[nodiscard]] Bitmap online_pus() const;
+  // !online_pus().empty(), without building the set: stops at the first
+  // usable PU.
+  [[nodiscard]] bool has_online_pu() const;
 
   // Leaf object for a PU index.
   [[nodiscard]] const TopoObject& pu(std::size_t index) const;

@@ -20,12 +20,6 @@
 namespace lama {
 namespace {
 
-MapPlan compile(const Allocation& alloc, const std::string& layout_str,
-                const MaximalTree& mtree) {
-  return compile_map_plan(mtree, ProcessLayout::parse(layout_str),
-                          IterationPolicy{});
-}
-
 TEST(MapPlan, OdometerGeometryMatchesTheMaximalTree) {
   const Allocation alloc = test::figure2_allocation();
   const ProcessLayout layout = ProcessLayout::parse("scbnh");
@@ -51,7 +45,9 @@ TEST(MapPlan, OdometerGeometryMatchesTheMaximalTree) {
     const MapPlan::Slot& s = plan.slots[i];
     ASSERT_NE(s.pus, nullptr);
     EXPECT_TRUE(plan.avail_bit(s.pos));
-    if (i > 0) EXPECT_LT(plan.slots[i - 1].pos, s.pos);
+    if (i > 0) {
+      EXPECT_LT(plan.slots[i - 1].pos, s.pos);
+    }
   }
 
   EXPECT_EQ(plan.slots.size(), plan.space);
